@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.spec.state import ParamCodec
 
 
 class Strategy(enum.Enum):
@@ -96,30 +99,41 @@ class CheckReport:
     trace_gap: bool = False
     #: why the round degraded (empty unless ``trace_gap``)
     gap_reason: str = ""
-    #: lazily-dumped shadow state — ``final_state`` is O(device state) to
-    #: materialize, and only eval/report code reads it, so the checker
-    #: binds a source instead of dumping on the hot path
+    #: the committed shadow's scalar parameters, captured at round time
+    #: as a compact values tuple (see :class:`repro.spec.ParamCodec`);
+    #: only eval/report code reads ``final_state``, so the dict is built
+    #: on first read
     _final_state: Optional[Dict[str, int]] = field(
         default=None, repr=False, compare=False)
-    _final_state_source: Optional[Callable[[], Dict[str, int]]] = field(
+    _final_codec: Optional["ParamCodec"] = field(
         default=None, repr=False, compare=False)
+    _final_values: Tuple[int, ...] = field(
+        default=(), repr=False, compare=False)
 
     @property
     def final_state(self) -> Dict[str, int]:
-        """Scalar shadow-state parameters after this round (lazy)."""
+        """Scalar shadow-state parameters after this round.
+
+        Exact at round time: the values were read from the committed
+        shadow when the round ended, so later rounds and resyncs never
+        change them.  Empty for a round that never reached a walk (an
+        unknown I/O key)."""
         if self._final_state is None:
-            source = self._final_state_source
-            self._final_state = source() if source is not None else {}
+            codec = self._final_codec
+            self._final_state = (codec.decode(self._final_values)
+                                 if codec is not None else {})
         return self._final_state
 
     @final_state.setter
     def final_state(self, value: Dict[str, int]) -> None:
         self._final_state = value
 
-    def bind_final_state(self,
-                         source: Callable[[], Dict[str, int]]) -> None:
-        """Defer the state dump until someone actually reads it."""
-        self._final_state_source = source
+    def bind_final_state(self, codec: "ParamCodec",
+                         values: Tuple[int, ...]) -> None:
+        """Record the committed shadow's parameters (``codec.read``
+        output); decoded to a dict only when someone reads them."""
+        self._final_codec = codec
+        self._final_values = values
 
     @property
     def ok(self) -> bool:

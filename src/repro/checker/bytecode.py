@@ -66,7 +66,9 @@ BYTECODE_FORMAT = 1
 _S2 = struct.Struct("<H")
 _S4 = struct.Struct("<I")
 _S8 = struct.Struct("<Q")
-BATCH_FORMAT = 1
+#: 2: commits copy between the checker's two shadow buffers and bind a
+#: compact final state (format 1 pinned a bytes snapshot per commit)
+BATCH_FORMAT = 2
 
 #: read sentinels for the generated frame
 _MISS = object()     # I/O parameter never provided
@@ -731,7 +733,7 @@ def _base_consts(bspec: "BytecodeSpec") -> Dict[str, Any]:
         "_bisect": bisect_left, "_die": _die,
         # Batched-driver helpers (unused by the per-round frame).
         "_CR": CheckReport, "_decide": decide_action,
-        "_ALLOW": Action.ALLOW, "_bytes": bytes,
+        "_ALLOW": Action.ALLOW,
         # Fixed-width accessors for the specialized source: no slice
         # allocation, no int.to_bytes object per store.
         "_u2": _S2.unpack_from, "_u4": _S4.unpack_from,
@@ -1248,11 +1250,11 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
         out.w("_maxb = w.checker.max_walk_blocks")
         out.w("_sdata = w.state.memory.data")
         out.w("_res = w.oracle.resolve")
-        out.w("(_plans, _policy, _mode, _unknown, _make_src,")
+        out.w("(_plans, _policy, _mode, _unknown, _cbuf, _codec,")
         out.w(" _hist_append, _reports_append, _tel, _clk,")
         out.w(" _cbc, _csc) = _ctx")
         out.w("_plans_get = _plans.get")
-        out.w("_committed = _bytes(_sdata)")
+        out.w("_read = _codec.read")
         out.w("_cyc = 0")
         out.w("_t0 = 0.0")
         out.w("for _iokey, _args in _rounds:")
@@ -1318,15 +1320,17 @@ def _assemble_spec(bspec: BytecodeSpec, batched: bool = False) -> Callable:
         out.w("_report.action = _act")
         out.w("_cyc += int(_blk * _cbc + _dsd * _csc)")
         out.w("_hist_append(_report)")
+        # Commit or roll back by copying between the two preallocated
+        # shadow buffers; the final state is the committed parameters.
         out.w("if _act is _ALLOW and not _report.incomplete:")
         out.indent += 1
-        out.w("_committed = _bytes(_sdata)")
+        out.w("_cbuf[:] = _sdata")
         out.indent -= 1
         out.w("else:")
         out.indent += 1
-        out.w("_sdata[:] = _committed")
+        out.w("_sdata[:] = _cbuf")
         out.indent -= 1
-        out.w("_report.bind_final_state(_make_src(_committed))")
+        out.w("_report.bind_final_state(_codec, _read(_sdata))")
         out.w("_reports_append(_report)")
         out.w("if _tel is not None:")
         out.indent += 1

@@ -60,7 +60,10 @@ class _WalkStop(Exception):
 
 
 class _WalkContext:
-    """Per-round mutable state threaded through the compiled closures."""
+    """Per-round mutable state threaded through the compiled closures.
+
+    A checker keeps one context for its life and :meth:`reset` rearms it
+    at the top of every round."""
 
     __slots__ = ("checker", "report", "state", "oracle", "strategies",
                  "param_on", "ijump_on", "cond_on", "current_address",
@@ -69,23 +72,25 @@ class _WalkContext:
 
     def __init__(self, checker, report, state, oracle):
         self.checker = checker
-        self.report = report
-        self.state = state
-        self.oracle = oracle
         self.strategies = checker.strategies
         self.param_on = Strategy.PARAMETER in checker.strategies
         self.ijump_on = Strategy.INDIRECT_JUMP in checker.strategies
         self.cond_on = Strategy.CONDITIONAL_JUMP in checker.strategies
+        self.reset(report, state, oracle)
+
+    def reset(self, report, state, oracle) -> None:
+        """Rearm for a new round: the strategy toggles are fixed per
+        checker, everything else starts over."""
+        self.report = report
+        self.state = state
+        self.oracle = oracle
         self.current_address = 0
         self.current_cmd: Optional[int] = None
-        self.blocks = 0
-        self.dsod = 0
+        self.blocks = self.dsod = 0
         # Check-site executions per enabled strategy; flushed into the
         # report with the walk counters (mirrors the reference walker's
         # direct report increments).
-        self.pchecks = 0
-        self.ichecks = 0
-        self.cchecks = 0
+        self.pchecks = self.ichecks = self.cchecks = 0
 
 
 def _flag(w: _WalkContext, strategy: Strategy, kind: str, message: str,

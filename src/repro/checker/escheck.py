@@ -51,6 +51,9 @@ CHECK_STMT_COST = 0.5
 
 BACKENDS = ("compiled", "reference", "bytecode")
 
+#: stateless: stands in for every round checked without an oracle
+_NULL_ORACLE = NullSyncOracle()
+
 
 @dataclass
 class _Frame:
@@ -84,7 +87,15 @@ class ESChecker:
             self._bytecode = bytecode_spec_for(spec)
         else:
             self._bytecode = None
+        #: the committed shadow.  Rounds walk on a second, spare buffer
+        #: that a clean round promotes (the two swap roles), so a round
+        #: copies the shadow into preallocated memory instead of cloning.
         self.device_state = spec.make_device_state()
+        self._spare = self.device_state.clone()
+        #: one walk context for the checker's life (closure and
+        #: bytecode backends), rearmed every round
+        self._walker = _WalkContext(self, None, self._spare,
+                                    _NULL_ORACLE)
         self._batch_plans: Optional[Dict[str, Tuple[int, int, int]]] = None
         self.cycles = 0
         #: anomaly history across the session (for FPR accounting)
@@ -123,7 +134,7 @@ class ESChecker:
     def boot_sync(self, memory: StateMemory) -> None:
         """Initialize the shadow device state from the control structure
         (done once, at device boot — Section V-A.1)."""
-        self.device_state.sync_from(memory)
+        self._install(memory)
 
     def resync(self, memory: StateMemory) -> None:
         """Optional fidelity knob: re-align shadow state with the device.
@@ -131,7 +142,15 @@ class ESChecker:
         The paper-faithful configuration never calls this after boot; the
         ablation benchmarks use it to quantify shadow-state drift.
         """
-        self.device_state.sync_from(memory)
+        self._install(memory)
+
+    def _install(self, memory: StateMemory) -> None:
+        """Commit a fresh shadow copied from *memory*: it is written into
+        the spare buffer, which then becomes the committed one, so the
+        previously committed shadow is never rewritten in place."""
+        fresh = self._spare
+        fresh.sync_from(memory)
+        self._spare, self.device_state = self.device_state, fresh
 
     # -- the check entry point ---------------------------------------------------
 
@@ -151,7 +170,7 @@ class ESChecker:
                   oracle: Optional[SyncOracle]) -> CheckReport:
         report = CheckReport(io_key=io_key)
         report.policy = self.degradation.policy.value
-        oracle = oracle or NullSyncOracle()
+        oracle = oracle or _NULL_ORACLE
 
         handler = self.spec.entry_handlers.get(io_key)
         if handler is None or not self.spec.has_function(handler):
@@ -161,22 +180,22 @@ class ESChecker:
             self._finish(report)
             return report
 
-        # Walk on a scratch copy: only a clean round updates the state.
-        scratch = self.device_state.clone()
-        if self._bytecode is not None:
-            walker = _WalkContext(self, report, scratch, oracle)
-            run = lambda: self._bytecode.run(         # noqa: E731
-                walker, handler, args)
-        elif self._compiled is not None:
-            walker = _WalkContext(self, report, scratch, oracle)
-            run = lambda: self._compiled.run(         # noqa: E731
-                walker, self._compiled.funcs[handler], args)
-        else:
-            walker = _Walker(self, report, scratch, oracle)
-            run = lambda: walker.run(                 # noqa: E731
-                self.spec.entry_for(io_key), args)
+        # Walk on the spare buffer, refreshed from the committed shadow:
+        # only a clean round promotes it.
+        committed, scratch = self.device_state, self._spare
+        scratch.memory.data[:] = committed.memory.data
+        walker = self._walker
         try:
-            run()
+            if self._bytecode is not None:
+                walker.reset(report, scratch, oracle)
+                self._bytecode.run(walker, handler, args)
+            elif self._compiled is not None:
+                walker.reset(report, scratch, oracle)
+                self._compiled.run(walker, self._compiled.funcs[handler],
+                                   args)
+            else:
+                walker = _Walker(self, report, scratch, oracle)
+                walker.run(self.spec.entry_for(io_key), args)
         except _WalkStop as stop:
             report.incomplete = stop.incomplete
         except CheckerError as exc:
@@ -188,11 +207,10 @@ class ESChecker:
         self._finish(report)
         if report.action is Action.ALLOW and not report.incomplete:
             # The simulated final device state seeds the next round.
-            self.device_state = scratch
-        # Lazy: dumping is O(device state) and only eval/report readers
-        # want it.  The value reflects the shadow state at *read* time —
-        # read it before the next resync if exactness matters.
-        report.bind_final_state(self.device_state.dump)
+            self.device_state, self._spare = scratch, committed
+            committed = scratch
+        codec = committed.codec
+        report.bind_final_state(codec, codec.read(committed.memory.data))
         return report
 
     # -- the batched entry -------------------------------------------------------
@@ -240,32 +258,19 @@ class ESChecker:
                               oracle: Optional[SyncOracle]
                               ) -> List[CheckReport]:
         walk_batch = self._bytecode.batch_walk()
-        oracle = oracle or NullSyncOracle()
+        oracle = oracle or _NULL_ORACLE
         reports: List[CheckReport] = []
 
-        # One scratch per batch; commits become byte snapshots of the
-        # shadow buffer, replicating check_io's per-round clone/commit
-        # object dance at memcpy cost.  Rounds that do not commit roll
-        # the buffer back to the last committed snapshot (the generated
-        # frame owns that loop — see ``_assemble_spec(batched=True)``).
-        scratch = self.device_state.clone()
-        walker = _WalkContext(self, None, scratch, oracle)
+        # The batch walks on the spare buffer.  A commit copies it into
+        # the committed buffer, and a round that does not commit copies
+        # the committed buffer back (the generated frame owns that loop
+        # — see ``_assemble_spec(batched=True)``), so both buffers hold
+        # the committed shadow when the batch ends.
+        committed, scratch = self.device_state, self._spare
+        scratch.memory.data[:] = committed.memory.data
+        walker = self._walker
+        walker.reset(None, scratch, oracle)
         telemetry = self._telemetry
-
-        # Final states rebuild lazily through a shared view clone, so a
-        # committed snapshot stays frozen exactly like the superseded
-        # state object a per-round commit leaves behind.  The view is
-        # itself lazy: the hot path never dumps.
-        viewbox: List = []
-
-        def make_src(snap: bytes):
-            def dump():
-                if not viewbox:
-                    viewbox.append(scratch.clone())
-                view = viewbox[0]
-                view.memory.data[:] = snap
-                return view.dump()
-            return dump
 
         def unknown(io_key: str) -> None:
             # Rare path, mirrored from _check_io: nothing walks, the
@@ -287,13 +292,11 @@ class ESChecker:
         # reloads land at op boundaries, never inside a batch.
         policy_val = self.degradation.policy.value
         ctx = (self._batch_plans_for(), policy_val, self.mode,
-               unknown, make_src, self.history.append, reports.append,
+               unknown, committed.memory.data, committed.codec,
+               self.history.append, reports.append,
                telemetry, self._clock,
                CHECK_BLOCK_COST, CHECK_STMT_COST)
         self.cycles += walk_batch(walker, rounds, ctx)
-        # The scratch buffer now equals the last committed snapshot:
-        # adopt it, exactly as the last per-round commit would have.
-        self.device_state = scratch
         return reports
 
     # -- internals --------------------------------------------------------------

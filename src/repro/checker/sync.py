@@ -5,10 +5,10 @@ Two kinds of sync variables appear in a specification:
 * ``field:NAME``           — a control-structure field outside the device
   state; resolved from the live structure just before the I/O executes;
 * ``extern:FUNC:LOCAL``    — the result of a host-helper call; resolved by
-  *speculation*: the device is run against a snapshot of its control
-  structure and the extern results are harvested in order, so the real
-  device still only executes after every check has passed (a strengthening
-  of the paper's interleaved scheme, documented in DESIGN.md).
+  *co-execution*: the device runs the round while an
+  :class:`ExternHarvestSink` tap queues the extern results in order, and
+  the checker vets the round right after on those values, halting the VM
+  post-hoc on a violation (the paper's interleaved scheme, DESIGN.md §4).
 """
 
 from __future__ import annotations
@@ -81,7 +81,12 @@ class FieldSyncOracle(SyncOracle):
 
 
 class ExternHarvestSink(TraceSink):
-    """Trace sink that queues extern results during a speculative run."""
+    """Queues extern results in call order, keyed like the sync vars.
+
+    Attach it as an extern *tap* (:meth:`Machine.add_tap`) so the
+    device keeps running its untraced interpreter; it works as a plain
+    trace sink too.
+    """
 
     def __init__(self) -> None:
         self.queues: Dict[str, Deque[int]] = {}

@@ -36,11 +36,11 @@ from repro.spec import ExecutionSpec
 
 
 def portable_report(report: CheckReport) -> CheckReport:
-    """A copy safe to pickle across process boundaries: the lazy
-    final-state *source* is a closure over live checker state, so
-    materialize it once (detections are rare) and drop the binding."""
+    """A copy safe to pickle across process boundaries: the final-state
+    codec holds an unpicklable struct reader, so materialize the dict
+    once (detections are rare) and drop the binding."""
     return dataclasses.replace(report, _final_state=dict(report.final_state),
-                               _final_state_source=None)
+                               _final_codec=None, _final_values=())
 
 
 @dataclass

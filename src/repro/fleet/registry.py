@@ -590,7 +590,11 @@ class SpecRegistry:
         tampered, truncated or wrong-generation envelope is rejected
         (``corrupt_rejected``) and also returns ``False``: corruption
         degrades to re-specialization, never to running altered code.
+        An intact artifact of an older ``BATCH_FORMAT`` is a plain miss:
+        the caller re-specializes and the next store replaces it.
         """
+        from repro.checker.bytecode import BATCH_FORMAT
+
         bc_digest = bspec.digest()
         payload = self._batch.get(bc_digest)
         if payload is None:
@@ -609,6 +613,8 @@ class SpecRegistry:
                     or envelope.get("bytecode_sha256") != bc_digest
                     or envelope.get("sha256") != _payload_digest(payload)):
                 self.stats.corrupt_rejected += 1
+                return False
+            if payload.get("format") != BATCH_FORMAT:
                 return False
         try:
             bspec.attach_batch_payload(payload)

@@ -33,7 +33,9 @@ Every function is assembled twice — a fast runner (counters in locals,
 reconciled on exit) and a traced runner that emits the sink event
 stream inline (``on_block``/``on_branch``/``on_tip``/... in the exact
 order the closure backend's traced bodies produce them), so traced
-rounds stay in the dispatch-loop frame too.
+rounds stay in the dispatch-loop frame too.  Both runners hand every
+extern result to the machine's extern taps; only the traced one
+notifies sinks.
 """
 
 from __future__ import annotations
@@ -744,20 +746,21 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
             args = [pop() for _ in range(nargs)][::-1]
             f = pop()
             spill_pending()
-            if traced:
-                args = [force_temp(a) for a in args]
-            else:
+            if not traced:
                 asm.w("m.cycles += _cy; _cy = 0")
                 asm.w("m.steps += _st; _lim -= _st; _st = 0")
+            args = [force_temp(a) for a in args]
             call = ", ".join(["m"] + args)
             t = asm.temp()
             asm.w(f"{t} = int({f}({call}) or 0)")
+            # Taps hear every extern on both runners; sinks only on the
+            # traced one (taps first, like the other backends).
+            event = (f"on_extern({bfunc.name!r}, {last_extern!r}, "
+                     f"{pool[dest] if dest >= 0 else None!r}, "
+                     f"({', '.join(args)}{',' if args else ''}), {t})")
+            asm.w(f"for _s in _taps: _s.{event}")
             if traced:
-                tup = f"({', '.join(args)}{',' if args else ''})"
-                dname = pool[dest] if dest >= 0 else None
-                asm.w(f"for _s in m._sinks: _s.on_extern("
-                      f"{bfunc.name!r}, {last_extern!r}, {dname!r}, "
-                      f"{tup}, {t})")
+                asm.w(f"for _s in m._sinks: _s.{event}")
             if dest >= 0:
                 name = pool[dest]
                 local_names.add(name)
@@ -919,12 +922,12 @@ def _assemble_function(bfunc: BytecodeFunction, program: Program,
         out.w(f"{unpack}{',' if len(bfunc.params) == 1 else ''} = args")
     if traced:
         out.w("_state = m.state; _data = _state.data; _flags = m.flags")
-        out.w("_ext = m._externs; _ecost = m._extern_cost")
+        out.w("_ext = m._externs; _ecost = m._extern_cost; _taps = m._taps")
         out.w("_maxs = m.max_steps")
     else:
         out.w("_st = 0; _cy = 0")
         out.w("_state = m.state; _data = _state.data; _flags = m.flags")
-        out.w("_ext = m._externs; _ecost = m._extern_cost")
+        out.w("_ext = m._externs; _ecost = m._extern_cost; _taps = m._taps")
         out.w("_lim = m.max_steps - m.steps")
     out.w("_pc = 0")
     out.w("try:")

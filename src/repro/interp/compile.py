@@ -15,8 +15,9 @@ Design constraints (all load-bearing):
   program object).
 * Each block compiles to **two** variants: a *fast* body used when no
   trace sinks are attached (the deployment hot path — sink fan-out is
-  elided entirely) and a *traced* body that emits exactly the sink events
-  of the reference interpreter, in the same order.
+  elided entirely; only extern taps are notified) and a *traced* body
+  that emits exactly the sink events of the reference interpreter, in
+  the same order.
 * Cycle/step accounting, flag updates, fault kinds, and error messages
   replicate the reference interpreter bit-for-bit; the differential test
   suite (``tests/interp/test_compile.py``) holds both backends to that.
@@ -280,7 +281,11 @@ def compile_stmt(stmt: Stmt, func_name: str,
                         f"extern {extern_name!r} is not bound")
                 m.cycles += m._extern_cost.get(extern_name,
                                                DEFAULT_EXTERN_COST)
-                value = int(fn(m, arg0(m, env, params)) or 0)
+                a0 = arg0(m, env, params)
+                value = int(fn(m, a0) or 0)
+                for tap in m._taps:
+                    tap.on_extern(func_name, extern_name, dest, (a0,),
+                                  value)
                 if dest is not None:
                     env[dest] = value
         elif len(arg_fns) == 2:
@@ -294,8 +299,12 @@ def compile_stmt(stmt: Stmt, func_name: str,
                         f"extern {extern_name!r} is not bound")
                 m.cycles += m._extern_cost.get(extern_name,
                                                DEFAULT_EXTERN_COST)
-                value = int(fn(m, arg0(m, env, params),
-                               arg1(m, env, params)) or 0)
+                a0 = arg0(m, env, params)
+                a1 = arg1(m, env, params)
+                value = int(fn(m, a0, a1) or 0)
+                for tap in m._taps:
+                    tap.on_extern(func_name, extern_name, dest, (a0, a1),
+                                  value)
                 if dest is not None:
                     env[dest] = value
         else:
@@ -309,6 +318,9 @@ def compile_stmt(stmt: Stmt, func_name: str,
                                                DEFAULT_EXTERN_COST)
                 args = [f(m, env, params) for f in arg_fns]
                 value = int(fn(m, *args) or 0)
+                for tap in m._taps:
+                    tap.on_extern(func_name, extern_name, dest,
+                                  tuple(args), value)
                 if dest is not None:
                     env[dest] = value
 
@@ -321,7 +333,7 @@ def compile_stmt(stmt: Stmt, func_name: str,
                                            DEFAULT_EXTERN_COST)
             args = [f(m, env, params) for f in arg_fns]
             value = int(fn(m, *args) or 0)
-            for sink in m._sinks:
+            for sink in m._taps + m._sinks:
                 sink.on_extern(func_name, extern_name, dest,
                                tuple(args), value)
             if dest is not None:

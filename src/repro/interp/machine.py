@@ -16,8 +16,14 @@ Two execution backends share this front door:
 * ``backend="bytecode"`` — functions lowered to a flat array-encoded
   bytecode and assembled into single dispatch-loop frames
   (:mod:`repro.interp.bytecode`); the fastest backend.  When trace
-  sinks are attached it borrows the compiled backend's traced block
-  bodies for the round, so sink event streams stay identical.
+  sinks are attached it runs the artifact's traced runners for the
+  round, so sink event streams stay identical.
+
+*Extern taps* (:meth:`Machine.add_tap`) are the one observation the
+untraced paths keep: every backend hands each extern call's result to
+the attached taps right after the call, traced or not, so a consumer
+that needs only extern results (the co-execution harvest) never forces
+a round onto the traced runners.
 
 A watchdog (``max_steps``) converts runaway loops — the CVE-2016-7909
 failure mode — into a :class:`DeviceFault`, the analogue of a hung QEMU
@@ -83,6 +89,8 @@ class Machine:
         self.cycles = 0
         self.steps = 0
         self._sinks: List[TraceSink] = []
+        #: extern-only observers, notified on traced and untraced paths
+        self._taps: List[TraceSink] = []
         self._externs: Dict[str, ExternFn] = {}
         self._extern_cost: Dict[str, int] = {}
         self._depth = 0
@@ -113,6 +121,16 @@ class Machine:
 
     def remove_sink(self, sink: TraceSink) -> None:
         self._sinks.remove(sink)
+
+    def add_tap(self, tap: TraceSink) -> TraceSink:
+        """Attach an extern tap: only its ``on_extern`` is called, and
+        it is called on every backend's untraced path too, so a tap
+        never switches rounds onto the traced runners."""
+        self._taps.append(tap)
+        return tap
+
+    def remove_tap(self, tap: TraceSink) -> None:
+        self._taps.remove(tap)
 
     def bind_extern(self, name: str, fn: ExternFn,
                     cost: int = DEFAULT_EXTERN_COST) -> None:
@@ -285,7 +303,7 @@ class Machine:
             args = [self._eval(frame, a) for a in stmt.args]
             result = fn(self, *args)
             value = int(result or 0)
-            for sink in self._sinks:
+            for sink in self._taps + self._sinks:
                 sink.on_extern(frame.func.name, stmt.func, stmt.dest,
                                tuple(args), value)
             if stmt.dest is not None:

@@ -201,8 +201,8 @@ class StateMemory:
     def snapshot(self) -> "StateMemory":
         """Deep copy; used by the checker's sync-point oracle.
 
-        Checker hot path (one snapshot per I/O round via
-        ``DeviceState.clone``): skip dataclass init — the layout is
+        Hot path (the VM snapshots the device before every
+        co-execution round): skip dataclass init — the layout is
         shared immutably and the copied store matches it by
         construction, so the ``__post_init__`` re-validation is pure
         overhead here.

@@ -1,6 +1,6 @@
 """Execution specification: device state, ES-CFG, builder, serialization."""
 
-from repro.spec.state import BufferInfo, DeviceState, FieldInfo
+from repro.spec.state import BufferInfo, DeviceState, FieldInfo, ParamCodec
 from repro.spec.escfg import (
     CommandAccessTable, ESBlock, ESFunction, ExecutionSpec,
 )
@@ -14,7 +14,7 @@ from repro.spec.lifecycle import (
 )
 
 __all__ = [
-    "BufferInfo", "DeviceState", "FieldInfo",
+    "BufferInfo", "DeviceState", "FieldInfo", "ParamCodec",
     "CommandAccessTable", "ESBlock", "ESFunction", "ExecutionSpec",
     "build_spec", "reduce_spec", "substitute_expr",
     "spec_from_json", "spec_to_json",

@@ -14,11 +14,15 @@ inspects it, one step before the real device would have made the call.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.errors import SpecError
 from repro.ir import BufType, FuncPtrType, IntType, StateLayout, StateMemory
+
+#: struct codes by field width; signed fields use the lower-case code
+_WIDTH_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass
@@ -43,6 +47,41 @@ class BufferInfo:
     name: str
     elem_bits: int
     length: int
+
+
+class ParamCodec:
+    """Reads every scalar parameter of a layout in one struct unpack.
+
+    :meth:`read` is the checker's per-round capture: one C call over the
+    shadow buffer that returns the parameter values in struct-offset
+    order — a tuple of a few ints rather than a copy of the whole
+    buffer.  :meth:`decode` turns such a tuple into exactly
+    :meth:`DeviceState.dump`'s dict (sorted names, same values).
+    Widths are 8/16/32/64 bits, so the struct codes reproduce
+    ``StateMemory.read_field`` bit for bit, signedness included.
+    """
+
+    __slots__ = ("read", "_slots")
+
+    def __init__(self, layout: StateLayout, names: Iterable[str]):
+        decls = sorted((layout.field(name) for name in names),
+                       key=lambda decl: decl.offset)
+        fmt, pos = ["<"], 0
+        for decl in decls:
+            if decl.offset > pos:
+                fmt.append(f"{decl.offset - pos}x")
+            code = _WIDTH_CODES[decl.size]
+            signed = isinstance(decl.type, IntType) and decl.type.signed
+            fmt.append(code.lower() if signed else code)
+            pos = decl.end
+        #: ``read(buffer) -> tuple`` of values in offset order
+        self.read = struct.Struct("".join(fmt)).unpack_from
+        slot = {decl.name: i for i, decl in enumerate(decls)}
+        self._slots: Tuple[Tuple[str, int], ...] = tuple(
+            (name, slot[name]) for name in sorted(slot))
+
+    def decode(self, values: Tuple[int, ...]) -> Dict[str, int]:
+        return {name: values[i] for name, i in self._slots}
 
 
 class DeviceState:
@@ -74,6 +113,7 @@ class DeviceState:
                 raise SpecError(f"{name} is not a buffer")
             self.buffers[name] = BufferInfo(name, decl.type.elem.bits,
                                             decl.type.length)
+        self.codec = ParamCodec(layout, self.fields)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -87,9 +127,10 @@ class DeviceState:
         self.memory.data[:] = memory.data
 
     def clone(self) -> "DeviceState":
-        """Checker hot path: one clone per I/O round.  The type metadata
-        is immutable after construction, so share it and copy only the
-        backing memory instead of re-deriving everything via __init__."""
+        """A twin with its own backing memory (the checker's spare
+        shadow buffer is one).  The type metadata is immutable after
+        construction, so share it and copy only the backing memory
+        instead of re-deriving everything via __init__."""
         twin = DeviceState.__new__(DeviceState)
         twin.layout = self.layout
         twin.param_fields = self.param_fields
@@ -97,6 +138,7 @@ class DeviceState:
         twin.memory = self.memory.snapshot()
         twin.fields = self.fields
         twin.buffers = self.buffers
+        twin.codec = self.codec
         return twin
 
     # -- access (range checks are the ES-Checker's job) ------------------------
@@ -138,5 +180,5 @@ class DeviceState:
 
     def dump(self) -> Dict[str, int]:
         """Scalar parameter values (for reports and tests)."""
-        return {name: self.memory.read_field(name)
-                for name in sorted(self.fields)}
+        codec = self.codec
+        return codec.decode(codec.read(self.memory.data))

@@ -47,7 +47,7 @@ class Attachment:
     * *strict* — no sync points reachable: the checker fully simulates the
       round before the device touches the request;
     * *co-execution* — the walk needs extern-call results (DMA payloads,
-      media bytes): the device executes with a harvest sink and the
+      media bytes): the device executes under a harvest tap and the
       checker validates immediately after, halting the VM post-hoc if
       violated.  This is the paper's interleaved sync-point scheme.
     """
@@ -66,6 +66,9 @@ class Attachment:
     pending: List[Tuple[str, Tuple[int, ...]]] = field(default_factory=list)
     #: batched checker invocations performed
     batch_flushes: int = 0
+    #: extern tap on the device machine, attached for the attachment's
+    #: life when any key co-executes; its queues restart every such round
+    harvest: Optional[ExternHarvestSink] = None
 
 
 @dataclass
@@ -170,11 +173,17 @@ class GuestVM:
         attachment = Attachment(checker=checker, device=device,
                                 sync_keys=sync_keys,
                                 batch_rounds=batch_rounds)
+        if any(sync_keys.values()):
+            attachment.harvest = device.machine.add_tap(
+                ExternHarvestSink())
+        self.detach_sedspec(device_name)
         self.attachments[device_name] = attachment
         return attachment
 
     def detach_sedspec(self, device_name: str) -> None:
-        self.attachments.pop(device_name, None)
+        attachment = self.attachments.pop(device_name, None)
+        if attachment is not None and attachment.harvest is not None:
+            attachment.device.machine.remove_tap(attachment.harvest)
 
     # -- the I/O path --------------------------------------------------------------
 
@@ -293,13 +302,14 @@ class GuestVM:
 
     def _co_execute(self, attachment: Attachment, device: Device,
                     key: str, args: Tuple[int, ...]) -> Optional[int]:
-        """Sync-point discipline: the device executes with a harvest sink;
-        the checker validates immediately after on the harvested values
-        (Section V-D's interleaving).  A device fault mid-round is fed to
-        the checker, which classifies it on the harvested prefix — this is
-        how the CVE-2016-7909 infinite loop is flagged."""
-        harvest = ExternHarvestSink()
-        device.machine.add_sink(harvest)
+        """Sync-point discipline: the device executes under the harvest
+        tap (on its untraced interpreter); the checker validates
+        immediately after on the harvested values (Section V-D's
+        interleaving).  A device fault mid-round is fed to the checker,
+        which classifies it on the harvested prefix — this is how the
+        CVE-2016-7909 infinite loop is flagged."""
+        harvest = attachment.harvest
+        harvest.queues.clear()
         # Field sync values must reflect the state *the round started
         # from*, exactly as the strict discipline sees them.
         pre_state = device.snapshot()
@@ -309,8 +319,6 @@ class GuestVM:
             result = self._run_device(device, key, args)
         except DeviceFault as exc:
             fault = exc
-        finally:
-            device.machine.remove_sink(harvest)
         oracle = QueueSyncOracle(
             harvest.queues, fallback=FieldSyncOracle(pre_state))
         report = self._vet(attachment, key, args, oracle)

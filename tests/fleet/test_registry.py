@@ -255,3 +255,29 @@ class TestBatchDispatchArtifacts:
             train_device_spec("sdhci").spec)
         assert registry.load_batch_dispatch(other) is False
         assert registry.stats.corrupt_rejected == 0
+
+    def test_stale_format_artifact_is_respecialized(self, tmp_path):
+        """An intact artifact written under an older BATCH_FORMAT (one
+        whose frame commits differently) is a plain miss: it is never
+        loaded, and the next store replaces it."""
+        from repro.checker.bytecode import BATCH_FORMAT
+        from repro.fleet.registry import _payload_digest
+
+        registry = SpecRegistry(cache_dir=str(tmp_path))
+        bspec = self._bspec()
+        registry.store_batch_dispatch(bspec)
+        path = registry.batch_dispatch_path(bspec.digest())
+        with open(path) as handle:
+            envelope = json.load(handle)
+        envelope["payload"]["format"] = BATCH_FORMAT - 1
+        envelope["sha256"] = _payload_digest(envelope["payload"])
+        with open(path, "w") as handle:
+            json.dump(envelope, handle)
+        fresh_registry = SpecRegistry(cache_dir=str(tmp_path))
+        fresh = self._bspec()
+        assert fresh_registry.load_batch_dispatch(fresh) is False
+        assert fresh._walk_batch is None
+        assert fresh_registry.stats.corrupt_rejected == 0
+        fresh_registry.store_batch_dispatch(fresh)
+        assert SpecRegistry(cache_dir=str(tmp_path)).load_batch_dispatch(
+            self._bspec()) is True

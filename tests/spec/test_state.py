@@ -84,3 +84,17 @@ class TestShadowState:
         state = make_state()
         state.write_field("count", value)
         assert state.read_field("count") == value % (1 << 16)
+
+    @given(st.binary(min_size=23, max_size=23))
+    def test_dump_decodes_like_read_field(self, raw):
+        """The one-unpack codec behind ``dump`` and ``final_state``
+        matches field-by-field reads on any bytes, signedness and
+        function pointers included, in sorted-name order."""
+        state = make_state()
+        assert state.layout.size == len(raw)
+        state.memory.data[:] = raw
+        expected = {name: state.read_field(name)
+                    for name in sorted(state.fields)}
+        dump = state.dump()
+        assert list(dump.items()) == list(expected.items())
+        assert state.codec.decode(state.codec.read(raw)) == expected
